@@ -55,15 +55,16 @@ determinism:
 	$(GO) test -race -count=1 -run 'ShardedDeterminism' ./internal/experiments/
 
 # A few seconds of coverage-guided fuzzing per target: TCP reassembly, the
-# SACK option codec and scoreboard, and the RxEngine header parser/search
-# path. `go test -fuzz` takes one target per invocation, hence the separate
-# lines.
+# SACK option codec and scoreboard, the RxEngine header parser/search
+# path, and incremental GCM against crypto/cipher. `go test -fuzz` takes
+# one target per invocation, hence the separate lines.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 5s ./internal/tcpip/
 	$(GO) test -run '^$$' -fuzz '^FuzzSackOption$$' -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxEngine$$' -fuzztime 5s ./internal/offload/
 	$(GO) test -run '^$$' -fuzz '^FuzzRxSearchGarbage$$' -fuzztime 5s ./internal/offload/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamSplits$$' -fuzztime 5s ./internal/gcm/
 
 # Deterministic-seed rerun of the golden Chrome-trace: the full event
 # sequence of a seeded run must stay byte-identical.
@@ -72,10 +73,10 @@ golden-check:
 
 # The race detector instruments allocations, so the zero-alloc guarantees
 # (disabled telemetry and lifecycle spans must not allocate on the
-# per-packet path, nor Stats()/Sample() at steady state) are asserted in
-# a separate non-race run.
+# per-packet path, nor Stats()/Sample() at steady state, nor a GCM
+# Stream's per-packet Update) are asserted in a separate non-race run.
 alloc-check:
-	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/
+	$(GO) test -count=1 -run 'ZeroAlloc|NoAlloc' ./internal/telemetry/... ./internal/nic/ ./internal/gcm/
 
 # The perf data point behind the regression gate: the deterministic
 # workload of internal/perf, timed by cmd/perf, written as PERF_9.json.

@@ -7,8 +7,9 @@
 // context stores the CTR position and the running GHASH between packets
 // (the paper's "incrementally computable over any byte range … given only
 // some constant-size state", §3.2). This package provides exactly that
-// state machine, built on the standard library's AES block cipher with
-// GHASH implemented from scratch (byte-position table multiplication in
+// state machine. The keystream comes from the standard library's
+// multi-block AES-CTR, restarted from the stream's byte position; GHASH is
+// implemented from scratch (byte-position table multiplication in
 // GF(2^128)). The package tests verify byte-for-byte equality with
 // crypto/cipher's GCM.
 package gcm
@@ -50,11 +51,12 @@ var aeadCache = make(map[string]cipher.AEAD)
 
 // AEADCached returns the standard library's AES-GCM AEAD for the key.
 // It produces byte-identical output to a Stream driven over the whole
-// message (the package tests assert equality), but crypto/cipher reaches
-// the hardware AES and carryless-multiply instructions the byte-table
-// Stream cannot. Host software uses it for whole-record seal/open — the
-// host CPU has AES-NI — while the incremental Stream remains the model of
-// the NIC's packet-by-packet engines and the partial-record fallback.
+// message (the package tests assert equality). A Stream's CTR half also
+// runs on the hardware AES instructions, but its GHASH stays table-based,
+// while crypto/cipher's uses carryless multiply. Host software uses it for
+// whole-record seal/open — the host CPU has AES-NI — while the incremental
+// Stream remains the model of the NIC's packet-by-packet engines and the
+// partial-record fallback.
 func AEADCached(key []byte) (cipher.AEAD, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -80,6 +82,9 @@ const (
 	// TagSize is the authentication tag length in bytes.
 	TagSize   = 16
 	blockSize = 16
+	// maxDataLen is GCM's message limit, (2³²−2) blocks. Past it the
+	// 32-bit counter (inc32) wraps, where cipher.NewCTR would carry.
+	maxDataLen = (1<<32 - 2) * blockSize
 )
 
 // fieldElement is an element of GF(2^128) in GCM's reflected bit order:
@@ -160,32 +165,39 @@ func trailingZeros8(b int) int {
 	return n
 }
 
-// mul sets y = y·H. Fully unrolled: each table index is a constant-shift
-// byte extraction, so the compiler drops every bounds check and the 16
-// loads pipeline instead of serializing behind loop-carried shifts.
-func (c *Cipher) mul(y *fieldElement) {
+// ghashBlocks absorbs whole 16-byte blocks into y: y = (y ⊕ block)·H for
+// each block, with y held in registers across the span. The multiply is
+// fully unrolled: each table index is a constant-shift byte extraction,
+// so the compiler drops every bounds check and the 16 loads pipeline
+// instead of serializing behind loop-carried shifts.
+func (c *Cipher) ghashBlocks(y *fieldElement, blocks []byte) {
 	t := &c.byteTable
 	lo, hi := y.low, y.high
-	e0 := t[0][lo>>56]
-	e1 := t[1][lo>>48&0xff]
-	e2 := t[2][lo>>40&0xff]
-	e3 := t[3][lo>>32&0xff]
-	e4 := t[4][lo>>24&0xff]
-	e5 := t[5][lo>>16&0xff]
-	e6 := t[6][lo>>8&0xff]
-	e7 := t[7][lo&0xff]
-	e8 := t[8][hi>>56]
-	e9 := t[9][hi>>48&0xff]
-	e10 := t[10][hi>>40&0xff]
-	e11 := t[11][hi>>32&0xff]
-	e12 := t[12][hi>>24&0xff]
-	e13 := t[13][hi>>16&0xff]
-	e14 := t[14][hi>>8&0xff]
-	e15 := t[15][hi&0xff]
-	y.low = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
-		e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
-	y.high = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
-		e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+	for ; len(blocks) >= blockSize; blocks = blocks[blockSize:] {
+		lo ^= binary.BigEndian.Uint64(blocks[:8])
+		hi ^= binary.BigEndian.Uint64(blocks[8:16])
+		e0 := t[0][lo>>56]
+		e1 := t[1][lo>>48&0xff]
+		e2 := t[2][lo>>40&0xff]
+		e3 := t[3][lo>>32&0xff]
+		e4 := t[4][lo>>24&0xff]
+		e5 := t[5][lo>>16&0xff]
+		e6 := t[6][lo>>8&0xff]
+		e7 := t[7][lo&0xff]
+		e8 := t[8][hi>>56]
+		e9 := t[9][hi>>48&0xff]
+		e10 := t[10][hi>>40&0xff]
+		e11 := t[11][hi>>32&0xff]
+		e12 := t[12][hi>>24&0xff]
+		e13 := t[13][hi>>16&0xff]
+		e14 := t[14][hi>>8&0xff]
+		e15 := t[15][hi&0xff]
+		lo = e0.low ^ e1.low ^ e2.low ^ e3.low ^ e4.low ^ e5.low ^ e6.low ^ e7.low ^
+			e8.low ^ e9.low ^ e10.low ^ e11.low ^ e12.low ^ e13.low ^ e14.low ^ e15.low
+		hi = e0.high ^ e1.high ^ e2.high ^ e3.high ^ e4.high ^ e5.high ^ e6.high ^ e7.high ^
+			e8.high ^ e9.high ^ e10.high ^ e11.high ^ e12.high ^ e13.high ^ e14.high ^ e15.high
+	}
+	y.low, y.high = lo, hi
 }
 
 // Direction selects whether a Stream produces ciphertext or plaintext.
@@ -199,16 +211,18 @@ const (
 )
 
 // Stream is the in-flight state of one AES-GCM message (one TLS record).
-// It is deliberately small and copyable: an offload flow context holds one
-// Stream as its dynamic state and advances it packet by packet.
+// An offload flow context holds one Stream as its dynamic state and
+// advances it packet by packet. The state that matters is constant-size;
+// the CTR keystream object is a cache of it, rebuilt on demand from the
+// byte position. Clone is the only safe copy: a plain struct copy would
+// share that keystream object with the original.
 type Stream struct {
 	c   *Cipher
 	dir Direction
 
-	// CTR state.
-	ctr [blockSize]byte // next counter block to encrypt
-	ks  [blockSize]byte // current keystream block
-	pos int             // bytes of ks consumed (0..16; 16 = need new block)
+	// CTR state: the keystream position is dataLen bytes past ctr1.
+	ctr1 [blockSize]byte // J0+1, the first data counter block
+	ks   cipher.Stream   // keystream at dataLen; nil until next needed
 
 	// GHASH state.
 	y       fieldElement
@@ -227,20 +241,42 @@ func (c *Cipher) NewStream(dir Direction, nonce, aad []byte) *Stream {
 	if len(nonce) != NonceSize {
 		panic(fmt.Sprintf("gcm: nonce length %d, want %d", len(nonce), NonceSize))
 	}
-	s := &Stream{c: c, dir: dir, pos: blockSize}
-	copy(s.ctr[:], nonce)
-	s.ctr[blockSize-1] = 1 // J0
-	c.block.Encrypt(s.tagMask[:], s.ctr[:])
-	s.incrCtr() // first data counter is J0+1
+	s := &Stream{c: c, dir: dir}
+	copy(s.ctr1[:], nonce)
+	s.ctr1[blockSize-1] = 1 // J0
+	c.block.Encrypt(s.tagMask[:], s.ctr1[:])
+	s.ctr1[blockSize-1] = 2 // J0+1
 	s.aadLen = uint64(len(aad))
 	s.ghashUpdate(aad)
 	s.ghashFlushPad()
 	return s
 }
 
-func (s *Stream) incrCtr() {
-	n := binary.BigEndian.Uint32(s.ctr[12:])
-	binary.BigEndian.PutUint32(s.ctr[12:], n+1)
+// keystream returns the CTR keystream positioned at dataLen, building it
+// at most once per message, Skip or Clone rather than once per call. The
+// counter block and the discarded partial-block prefix are staged in
+// s.ctr1 and then restored: a local array would escape through the
+// interface calls and cost two more allocations.
+func (s *Stream) keystream() cipher.Stream {
+	if s.ks == nil {
+		ctr1 := s.ctr1
+		n := binary.BigEndian.Uint32(ctr1[12:]) + uint32(s.dataLen/blockSize)
+		binary.BigEndian.PutUint32(s.ctr1[12:], n)
+		s.ks = cipher.NewCTR(s.c.block, s.ctr1[:])
+		rem := s.dataLen % blockSize
+		s.ks.XORKeyStream(s.ctr1[:rem], s.ctr1[:rem])
+		s.ctr1 = ctr1
+	}
+	return s.ks
+}
+
+// advance moves the message position n bytes on, enforcing GCM's length
+// limit as crypto/cipher's Seal does.
+func (s *Stream) advance(n int) {
+	if uint64(n) > maxDataLen-s.dataLen {
+		panic("gcm: message too large for GCM")
+	}
+	s.dataLen += uint64(n)
 }
 
 func (s *Stream) ghashUpdate(data []byte) {
@@ -251,22 +287,12 @@ func (s *Stream) ghashUpdate(data []byte) {
 		if s.bufLen < blockSize {
 			return
 		}
-		s.ghashBlock(s.buf[:])
+		s.c.ghashBlocks(&s.y, s.buf[:])
 		s.bufLen = 0
 	}
-	for len(data) >= blockSize {
-		s.ghashBlock(data[:blockSize])
-		data = data[blockSize:]
-	}
-	if len(data) > 0 {
-		s.bufLen = copy(s.buf[:], data)
-	}
-}
-
-func (s *Stream) ghashBlock(b []byte) {
-	s.y.low ^= binary.BigEndian.Uint64(b[:8])
-	s.y.high ^= binary.BigEndian.Uint64(b[8:])
-	s.c.mul(&s.y)
+	whole := len(data) &^ (blockSize - 1)
+	s.c.ghashBlocks(&s.y, data[:whole])
+	s.bufLen = copy(s.buf[:], data[whole:])
 }
 
 // ghashFlushPad zero-pads and absorbs any partial GHASH block (used at the
@@ -275,10 +301,8 @@ func (s *Stream) ghashFlushPad() {
 	if s.bufLen == 0 {
 		return
 	}
-	for i := s.bufLen; i < blockSize; i++ {
-		s.buf[i] = 0
-	}
-	s.ghashBlock(s.buf[:])
+	clear(s.buf[s.bufLen:])
+	s.c.ghashBlocks(&s.y, s.buf[:])
 	s.bufLen = 0
 }
 
@@ -286,7 +310,8 @@ func (s *Stream) ghashFlushPad() {
 // must be at least as long as src and may alias it exactly). For Seal, src
 // is plaintext and dst ciphertext; for Open, the reverse. Update may be
 // called any number of times with arbitrary lengths — this is the per-packet
-// entry point.
+// entry point. Like crypto/cipher's Seal, it panics past GCM's message limit
+// of 2³²−2 blocks.
 func (s *Stream) Update(dst, src []byte) {
 	s.transform(dst, src, s.dir == Open)
 }
@@ -305,66 +330,29 @@ func (s *Stream) Transform(dst, src []byte, srcIsCiphertext bool) {
 // Skip advances the keystream over n bytes that this stream will never see,
 // without authenticating them. The NIC uses it to resume mid-message after
 // unoffloaded packets (Fig. 8b); the stream's tag is meaningless afterwards
-// and must not be checked.
+// and must not be checked. Skipping past GCM's message limit panics.
 func (s *Stream) Skip(n int) {
-	s.dataLen += uint64(n)
-	if s.pos < blockSize {
-		rem := blockSize - s.pos
-		if n < rem {
-			s.pos += n
-			return
-		}
-		n -= rem
-		s.pos = blockSize
-	}
-	blocks := uint32(n / blockSize)
-	c := binary.BigEndian.Uint32(s.ctr[12:])
-	binary.BigEndian.PutUint32(s.ctr[12:], c+blocks)
-	if rem := n % blockSize; rem > 0 {
-		s.c.block.Encrypt(s.ks[:], s.ctr[:])
-		s.incrCtr()
-		s.pos = rem
-	}
+	s.advance(n)
+	s.ks = nil
 }
 
 func (s *Stream) transform(dst, src []byte, srcIsCiphertext bool) {
 	if len(dst) < len(src) {
 		panic("gcm: dst shorter than src")
 	}
-	s.dataLen += uint64(len(src))
+	if len(src) == 0 {
+		return
+	}
+	ks := s.keystream()
+	s.advance(len(src))
 	if srcIsCiphertext {
 		// Authenticate ciphertext before transforming (src may alias dst).
 		s.ghashUpdate(src)
 	}
-	sealed := !srcIsCiphertext
-	for i := 0; i < len(src); {
-		if s.pos == blockSize {
-			s.c.block.Encrypt(s.ks[:], s.ctr[:])
-			s.incrCtr()
-			s.pos = 0
-		}
-		n := blockSize - s.pos
-		if rem := len(src) - i; rem < n {
-			n = rem
-		}
-		out := dst[i : i+n]
-		in := src[i : i+n]
-		if n == blockSize && s.pos == 0 {
-			// Whole-block fast path: XOR as two 64-bit words.
-			k0 := binary.LittleEndian.Uint64(s.ks[0:8])
-			k1 := binary.LittleEndian.Uint64(s.ks[8:16])
-			binary.LittleEndian.PutUint64(out[0:8], binary.LittleEndian.Uint64(in[0:8])^k0)
-			binary.LittleEndian.PutUint64(out[8:16], binary.LittleEndian.Uint64(in[8:16])^k1)
-		} else {
-			for j := 0; j < n; j++ {
-				out[j] = in[j] ^ s.ks[s.pos+j]
-			}
-		}
-		if sealed {
-			s.ghashUpdate(out)
-		}
-		s.pos += n
-		i += n
+	dst = dst[:len(src)]
+	ks.XORKeyStream(dst, src)
+	if !srcIsCiphertext {
+		s.ghashUpdate(dst)
 	}
 }
 
@@ -375,7 +363,7 @@ func (s *Stream) Tag() [TagSize]byte {
 	var lenBlock [blockSize]byte
 	binary.BigEndian.PutUint64(lenBlock[:8], s.aadLen*8)
 	binary.BigEndian.PutUint64(lenBlock[8:], s.dataLen*8)
-	s.ghashBlock(lenBlock[:])
+	s.c.ghashBlocks(&s.y, lenBlock[:])
 	var tag [TagSize]byte
 	binary.BigEndian.PutUint64(tag[:8], s.y.low)
 	binary.BigEndian.PutUint64(tag[8:], s.y.high)
@@ -396,6 +384,7 @@ func (s *Stream) Verify(want []byte) bool {
 // state when software may need to resume the computation later.
 func (s *Stream) Clone() *Stream {
 	dup := *s
+	dup.ks = nil
 	return &dup
 }
 

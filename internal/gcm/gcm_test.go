@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -263,6 +264,28 @@ func BenchmarkSeal16K(b *testing.B) {
 	}
 }
 
+// benchPackets runs one 16 KiB record per iteration through a Stream in
+// 1448-byte Updates, the per-packet shape of the NIC engines.
+func benchPackets(b *testing.B, dir Direction) {
+	c, _ := New(key16(13))
+	nonce := make([]byte, NonceSize)
+	buf := make([]byte, 16<<10)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := c.NewStream(dir, nonce, nil)
+		for off := 0; off < len(buf); off += 1448 {
+			seg := buf[off:min(off+1448, len(buf))]
+			s.Update(seg, seg)
+		}
+		_ = s.Tag()
+	}
+}
+
+func BenchmarkSealPackets16K(b *testing.B) { benchPackets(b, Seal) }
+
+func BenchmarkOpenPackets16K(b *testing.B) { benchPackets(b, Open) }
+
 func BenchmarkStdlibSeal16K(b *testing.B) {
 	block, _ := aes.NewCipher(key16(13))
 	aead, _ := cipher.NewGCM(block)
@@ -356,4 +379,170 @@ func TestSkip(t *testing.T) {
 	if !bytes.Equal(head, pt[:33]) || !bytes.Equal(tail, pt[533:]) {
 		t.Error("interleaved skip mismatch")
 	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestStreamLengthLimit(t *testing.T) {
+	// GCM's counter is inc32: it must never carry into the nonce. An
+	// all-ones nonce makes any carry visible. The tail starts mid-block
+	// and ends exactly at the limit, whose last block uses counter 2³²−1.
+	key := key16(30)
+	nonce := bytes.Repeat([]byte{0xff}, NonceSize)
+	src := make([]byte, 3*blockSize+5)
+	rand.New(rand.NewSource(31)).Read(src)
+	start := uint64(maxDataLen - len(src))
+
+	block, _ := aes.NewCipher(key)
+	want := make([]byte, len(src))
+	var cb, ks [blockSize]byte
+	copy(cb[:], nonce)
+	for i := range src {
+		p := start + uint64(i)
+		binary.BigEndian.PutUint32(cb[12:], uint32(2+p/blockSize))
+		block.Encrypt(ks[:], cb[:])
+		want[i] = src[i] ^ ks[p%blockSize]
+	}
+
+	c, _ := New(key)
+	s := c.NewStream(Seal, nonce, nil)
+	s.Skip(int(start))
+	got := make([]byte, len(src))
+	s.Update(got, src)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("keystream below the limit:\n got %x\nwant %x", got, want)
+	}
+	one := make([]byte, 1)
+	mustPanic(t, "Update past the limit", func() { s.Update(one, one) })
+	mustPanic(t, "Transform past the limit", func() { s.Transform(one, one, true) })
+	mustPanic(t, "Skip past the limit", func() { s.Skip(1) })
+	mustPanic(t, "one Skip past the limit", func() {
+		c.NewStream(Open, nonce, nil).Skip(maxDataLen + 1)
+	})
+}
+
+func TestUpdateNoAlloc(t *testing.T) {
+	c, _ := New(key16(32))
+	s := c.NewStream(Open, make([]byte, NonceSize), []byte("hdr"))
+	buf := make([]byte, 16<<10)
+	s.Update(buf[:5], buf[:5])
+	allocs := testing.AllocsPerRun(50, func() {
+		s.Update(buf[:1448], buf[:1448])
+		s.Transform(buf[:7], buf[:7], false)
+		s.Update(buf, buf)
+		s.Transform(buf[:33], buf[100:133], true)
+	})
+	if allocs != 0 {
+		t.Errorf("Update/Transform allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// segPlan is a FuzzStreamSplits plan of msgLen bytes in seg-byte segments,
+// each with the given flags.
+func segPlan(msgLen, seg int, flags byte) []byte {
+	var plan []byte
+	for off := 0; off < msgLen; off += seg {
+		plan = binary.LittleEndian.AppendUint16(plan, uint16(seg))
+		plan = append(plan, flags)
+	}
+	return plan
+}
+
+// FuzzStreamSplits drives a Stream through a fuzzer-chosen plan and checks
+// every output byte, and the tag unless a Skip made it meaningless,
+// against crypto/cipher's one-shot GCM. The plan is read three bytes per
+// segment: a little-endian length (clipped to the rest of the message)
+// and a flags byte:
+//
+//	bit 0: Transform, with bit 1 as srcIsCiphertext, instead of Update
+//	bit 2: in place (dst aliases src) instead of separate buffers
+//	bit 3: Clone first, move the original on by 1 + 5·(flags>>5) bytes,
+//	       and continue on the clone
+//	bit 4: Skip the segment instead of processing it
+//
+// When the plan runs out, one Update finishes the message.
+func FuzzStreamSplits(f *testing.F) {
+	const rec = 16 << 10
+	f.Add(uint16(rec), uint8(13), false, segPlan(rec, 1448, 0))
+	f.Add(uint16(rec), uint8(13), true, segPlan(rec, 1448, 0x04))
+	f.Add(uint16(rec+1), uint8(13), true, segPlan(rec+1, 1448, 0x01))
+	f.Add(uint16(rec+15), uint8(13), false, segPlan(rec+15, 1448, 0x07))
+	f.Add(uint16(1448+1), uint8(0), true, segPlan(1448+1, 1448, 0x04))
+	f.Add(uint16(1448+15), uint8(5), false, segPlan(1448+15, 1448, 0))
+	f.Add(uint16(3000), uint8(13), true,
+		[]byte{0xe8, 0x03, 0x01, 0xb0, 0x04, 0x2b, 0x07, 0x00, 0x10, 0x21, 0x00, 0x08, 0x11, 0x00, 0x10})
+
+	c, _ := New(key16(33))
+	block, _ := aes.NewCipher(key16(33))
+	aead, _ := cipher.NewGCM(block)
+	f.Fuzz(func(t *testing.T, msgLen uint16, aadLen uint8, open bool, plan []byte) {
+		n := int(msgLen)
+		rng := rand.New(rand.NewSource(int64(msgLen)<<8 | int64(aadLen)))
+		pt, aad, nonce := make([]byte, n), make([]byte, aadLen), make([]byte, NonceSize)
+		rng.Read(pt)
+		rng.Read(aad)
+		rng.Read(nonce)
+		sealed := aead.Seal(nil, nonce, pt, aad)
+		ct, tag := sealed[:n], sealed[n:]
+
+		dir := Seal
+		if open {
+			dir = Open
+		}
+		s := c.NewStream(dir, nonce, aad)
+		skipped := false
+		for off := 0; off < n; {
+			seg, flags := n-off, byte(0)
+			if len(plan) >= 3 {
+				seg = min(seg, int(binary.LittleEndian.Uint16(plan)))
+				flags = plan[2]
+				plan = plan[3:]
+			}
+			if flags&0x08 != 0 {
+				dup := s.Clone()
+				junk := make([]byte, 1+5*int(flags>>5))
+				s.Update(junk, junk)
+				s = dup
+			}
+			if flags&0x10 != 0 {
+				s.Skip(seg)
+				skipped = true
+				off += seg
+				continue
+			}
+			srcIsCiphertext := open
+			if flags&0x01 != 0 {
+				srcIsCiphertext = flags&0x02 != 0
+			}
+			in, want := pt[off:off+seg], ct[off:off+seg]
+			if srcIsCiphertext {
+				in, want = want, in
+			}
+			out, src := make([]byte, seg), append([]byte(nil), in...)
+			if flags&0x04 != 0 {
+				copy(out, in)
+				src = out
+			}
+			if flags&0x01 != 0 {
+				s.Transform(out, src, srcIsCiphertext)
+			} else {
+				s.Update(out, src)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("segment [%d,%d) flags %#x: output diverges from crypto/cipher", off, off+seg, flags)
+			}
+			off += seg
+		}
+		if got := s.Tag(); !skipped && !bytes.Equal(got[:], tag) {
+			t.Fatalf("tag %x, crypto/cipher %x", got, tag)
+		}
+	})
 }
